@@ -59,6 +59,59 @@ void BM_Canonicalize(benchmark::State& state) {
 }
 BENCHMARK(BM_Canonicalize)->Arg(4)->Arg(16);
 
+void BM_CanonicalizeSymmetric(benchmark::State& state) {
+  // `groups` tie groups of `size` interchangeable atoms p_g(c, X) plus a
+  // link atom per group pair, so the encoder must search the (size!)^groups
+  // orders of the tie groups for the lexicographically smallest encoding.
+  const int64_t size = state.range(0);
+  const int64_t groups = state.range(1);
+  Term c = Term::Constant(7);
+  std::vector<Atom> atoms;
+  uint64_t var = 0;
+  for (int64_t g = 0; g < groups; ++g) {
+    uint64_t first = var;
+    for (int64_t i = 0; i < size; ++i) {
+      atoms.push_back(
+          Atom(static_cast<PredicateId>(g), {c, Term::Variable(var++)}));
+    }
+    if (g > 0) {
+      atoms.push_back(Atom(static_cast<PredicateId>(groups + g),
+                           {Term::Variable(first - 1), Term::Variable(first)}));
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Canonicalize(atoms));
+  }
+}
+BENCHMARK(BM_CanonicalizeSymmetric)
+    ->Args({3, 1})
+    ->Args({3, 2})
+    ->Args({4, 2})
+    ->Args({6, 1});
+
+void BM_HasHomomorphism(benchmark::State& state) {
+  // The eager-simplification probe: does one 1–3-atom component of a
+  // proof state map into an OWL 2 QL database?
+  Program program = MakeOwl2QlProgram();
+  Rng rng(7919);
+  AddOntologyFacts(&program, 30, 6, 120, &rng);
+  Instance db = DatabaseFromFacts(program.facts());
+  SymbolTable& symbols = program.symbols();
+  PredicateId type = symbols.FindPredicate("type");
+  PredicateId subclass = symbols.FindPredicate("subclass");
+  PredicateId restriction = symbols.FindPredicate("restriction");
+  Term ind = symbols.InternConstant("ind65");
+  std::vector<Atom> pattern = {
+      Atom(type, {ind, Term::Variable(0)}),
+      Atom(subclass, {Term::Variable(0), Term::Variable(1)}),
+      Atom(restriction, {Term::Variable(1), Term::Variable(2)})};
+  pattern.resize(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HasHomomorphism(pattern, db));
+  }
+}
+BENCHMARK(BM_HasHomomorphism)->Arg(1)->Arg(2)->Arg(3);
+
 void BM_ChunkResolution(benchmark::State& state) {
   ParseResult parsed = ParseProgram(R"(
     t(X, Z) :- e(X, Y), t(Y, Z).

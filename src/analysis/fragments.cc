@@ -144,9 +144,14 @@ bool IsSticky(const Program& program) {
 
 size_t NodeWidthBoundPwl(size_t query_atoms, const Program& program,
                          const PredicateGraph& graph) {
-  size_t max_body = std::max<size_t>(1, program.MaxBodySize());
-  size_t max_level = std::max<uint32_t>(1, graph.MaxLevel());
-  return (query_atoms + 1) * max_level * max_body;
+  return NodeWidthBoundPwl(query_atoms, graph.MaxLevel(),
+                           program.MaxBodySize());
+}
+
+size_t NodeWidthBoundPwl(size_t query_atoms, uint32_t max_level,
+                         size_t max_body) {
+  return (query_atoms + 1) * std::max<size_t>(1, max_level) *
+         std::max<size_t>(1, max_body);
 }
 
 size_t NodeWidthBoundWarded(size_t query_atoms, const Program& program) {

@@ -55,6 +55,11 @@ bool IsSticky(const Program& program);
 size_t NodeWidthBoundPwl(size_t query_atoms, const Program& program,
                          const PredicateGraph& graph);
 
+/// The same polynomial from its precomputed program factors: `max_level`
+/// is PredicateGraph::MaxLevel() and `max_body` Program::MaxBodySize().
+size_t NodeWidthBoundPwl(size_t query_atoms, uint32_t max_level,
+                         size_t max_body);
+
 /// The node-width polynomial for WARD (Section 4.2):
 ///   f(q, Σ) = 2 · max{ |q|, max_σ |body(σ)| }.
 size_t NodeWidthBoundWarded(size_t query_atoms, const Program& program);

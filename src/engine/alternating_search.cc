@@ -303,7 +303,7 @@ class Searcher {
         f.rest_dirty.push_back(
             f.component_ids[i] == pivot_component ? 1 : 0);
       }
-      ForEachHomomorphism({pivot}, ctx_.database, {},
+      ForEachHomomorphism(pivot, ctx_.database,
                           [&f](const Substitution& h) {
                             f.homs.push_back(h);
                             return true;
@@ -363,10 +363,11 @@ class Searcher {
       if (f->tgds == nullptr || f->next_tgd >= f->tgds->size()) {
         return false;
       }
+      size_t tgd_index = (*f->tgds)[f->next_tgd++];
       f->resolvents =
-          ResolveWithTgd(f->state.atoms, ctx_.program,
-                         (*f->tgds)[f->next_tgd++], f->fresh_base,
-                         ctx_.max_chunk, f->selected);
+          ResolveWithTgd(f->state.atoms, ctx_.index.Template(tgd_index),
+                         tgd_index, f->fresh_base, ctx_.max_chunk,
+                         f->selected);
       f->next_resolvent = 0;
     }
   }

@@ -8,8 +8,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "analysis/fragments.h"
-#include "analysis/predicate_graph.h"
 #include "base/hash.h"
 #include "engine/resolution.h"
 #include "engine/search_cache.h"
@@ -274,7 +272,11 @@ class LinearSearcher {
   void ExpandState(const CanonicalState& state, ExpandOutput* out) {
     size_t selected = SelectAtom(state.atoms, database_);
     const Atom& pivot = state.atoms[selected];
-    std::vector<int> components = ComponentIds(state.atoms);
+    // Per-thread buffer: ExpandState runs on the pool's workers, and the
+    // successors' own ComponentIds (inside the simplifier) use a separate
+    // scratch, so this one stays valid across the whole expansion.
+    static thread_local std::vector<int> components;
+    ComponentIds(state.atoms, &components);
     int pivot_component = components[selected];
 
     // Match-and-drop: each homomorphism of the selected atom into the
@@ -291,11 +293,13 @@ class LinearSearcher {
       rest_dirty.push_back(components[i] == pivot_component ? 1 : 0);
     }
     std::vector<char> dirty;
-    ForEachHomomorphism({pivot}, database_, {}, [&](const Substitution& h) {
+    ForEachHomomorphism(pivot, database_, [&](const Substitution& h) {
       ++out->drop_edges;
       ProofStep step;
       step.kind = ProofStep::Kind::kMatchDrop;
-      step.matched_fact = ApplySubstitution(h, pivot);
+      if (explanation_ != nullptr) {
+        step.matched_fact = ApplySubstitution(h, pivot);
+      }
       dirty = rest_dirty;
       return !MakeCandidate(ApplySubstitution(h, rest), &dirty,
                             std::move(step), out);
@@ -312,8 +316,8 @@ class LinearSearcher {
     }
     for (size_t tgd_index : index_.TgdsWithHead(pivot.predicate)) {
       std::vector<Resolvent> resolvents =
-          ResolveWithTgd(state.atoms, program_, tgd_index, fresh_base,
-                         max_chunk_, /*anchor=*/selected);
+          ResolveWithTgd(state.atoms, index_.Template(tgd_index), tgd_index,
+                         fresh_base, max_chunk_, /*anchor=*/selected);
       for (Resolvent& r : resolvents) {
         ++out->resolution_edges;
         ProofStep step;
@@ -541,25 +545,24 @@ ProofSearchResult LinearProofSearch(const Program& program,
                                     ProofExplanation* explanation) {
   ProofSearchResult result;
 
-  size_t width = options.node_width;
-  if (width == 0) {
-    PredicateGraph graph(program);
-    width = NodeWidthBoundPwl(query.atoms.size(), program, graph);
-  }
+  // The relevance index comes from the shared cache when one is supplied
+  // (it must have been built for this same program + database); otherwise
+  // a local one is built for this call. It also carries the pg(Σ) factors
+  // of the node-width bound, so a warm search never rebuilds the graph.
+  std::optional<ProgramIndex> local_index;
+  if (options.cache == nullptr) local_index.emplace(program, database);
+  const ProgramIndex& index =
+      options.cache != nullptr ? options.cache->index() : *local_index;
+
+  size_t width = options.node_width != 0
+                     ? options.node_width
+                     : index.NodeWidthBoundPwl(query.atoms.size());
   result.node_width_used = width;
   size_t max_chunk =
       options.max_chunk == 0 ? width : std::min(options.max_chunk, width);
 
   std::optional<std::vector<Atom>> frozen = FreezeQuery(query, answer);
   if (!frozen.has_value()) return result;  // inconsistent candidate
-
-  // The relevance index comes from the shared cache when one is supplied
-  // (it must have been built for this same program + database); otherwise
-  // a local one is built for this call.
-  std::optional<ProgramIndex> local_index;
-  if (options.cache == nullptr) local_index.emplace(program, database);
-  const ProgramIndex& index =
-      options.cache != nullptr ? options.cache->index() : *local_index;
 
   // A parallel search without a caller-supplied pool gets a private one
   // for its own lifetime: one spawn per search, not one per level.

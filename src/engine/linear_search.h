@@ -24,6 +24,24 @@
 //     linear programs.
 //
 // The search accepts when a state becomes empty.
+//
+// Per-successor pipeline. Expanding a state selects its pivot, computes
+// its component ids once, and then, for every match-and-drop binding and
+// every anchored chunk resolvent: (1) marks the atoms whose component the
+// step touched (ResolventDirtyFlags), (2) drops duplicate atoms and
+// removes the touched components that map into the database
+// (EagerSimplifyIncremental: one array union-find, each component matched
+// in place), (3) prunes by width and dead atoms, (4) canonicalizes
+// (pruned tie-group search) and (5) dedupes against the visited snapshot
+// and the shared cache. The kernels behind these steps — matcher,
+// unifier, components, canonical encoder — keep their working state in
+// grow-only thread-local scratch: no hash maps, no allocation beyond the
+// successor itself, safe under num_threads > 1 (each pool worker has its
+// own scratch), and reentrant where they must be (a match-and-drop
+// callback runs the matcher again). Every kernel is exact: the visited
+// set and every counter are what a map-based implementation computes.
+// The node-width bound and the per-TGD resolution templates come from
+// the ProgramIndex, built once per (program, database).
 
 #ifndef VADALOG_ENGINE_LINEAR_SEARCH_H_
 #define VADALOG_ENGINE_LINEAR_SEARCH_H_

@@ -33,13 +33,38 @@ struct Resolvent {
 /// Sentinel for `anchor`: enumerate chunks without an anchoring atom.
 inline constexpr size_t kNoAnchor = static_cast<size_t>(-1);
 
-/// Enumerates all σ-resolvents of `state` with the single-head TGD at
-/// `tgd_index` of `program`. `max_chunk` bounds |S1| (chunks larger than
+/// What every resolution step with one TGD reads, derived once per program
+/// instead of once per step: the TGD's atoms and the existential variables
+/// of its head (sorted), in the TGD's own variable numbering. The step
+/// renames by the fresh base on the fly rather than copying the TGD.
+struct TgdTemplate {
+  TgdTemplate() = default;
+  explicit TgdTemplate(const Tgd& tgd);
+
+  std::vector<Atom> head;
+  std::vector<Atom> body;
+  std::vector<Term> existentials;
+};
+
+/// The templates of every TGD of `program`, indexed like program.tgds().
+std::vector<TgdTemplate> MakeTgdTemplates(const Program& program);
+
+/// Enumerates all σ-resolvents of `state` with the single-head TGD `tgd`
+/// (reported as `tgd_index`). `max_chunk` bounds |S1| (chunks larger than
 /// the node width can never be needed). Fresh body variables are renamed
 /// starting at `fresh_variable_base` to stay disjoint from state variables.
 /// When `anchor` names a state atom, only chunks containing that atom are
 /// enumerated (the SLD selection restriction of the searches), skipping
 /// the non-anchored chunks instead of generating and discarding them.
+std::vector<Resolvent> ResolveWithTgd(const std::vector<Atom>& state,
+                                      const TgdTemplate& tgd,
+                                      size_t tgd_index,
+                                      uint64_t fresh_variable_base,
+                                      size_t max_chunk = 4,
+                                      size_t anchor = kNoAnchor);
+
+/// One-off form: resolves with the TGD at `tgd_index` of `program`,
+/// building its template for this call only.
 std::vector<Resolvent> ResolveWithTgd(const std::vector<Atom>& state,
                                       const Program& program,
                                       size_t tgd_index,

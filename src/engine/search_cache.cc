@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/fragments.h"
 #include "analysis/predicate_graph.h"
 
 namespace vadalog {
@@ -40,6 +41,9 @@ ProgramIndex::ProgramIndex(const Program& program, const Instance& database) {
   // earlier ones, so each component stabilizes with a local iteration.
   for (PredicateId p : database.Predicates()) supported_[p] = 1;
   PredicateGraph graph(program);
+  max_level_ = graph.MaxLevel();
+  max_body_ = program.MaxBodySize();
+  templates_ = MakeTgdTemplates(program);
   auto body_supported = [this](const Tgd& tgd) {
     for (const Atom& a : tgd.body) {
       if (!Supported(a.predicate)) return false;
@@ -62,6 +66,10 @@ ProgramIndex::ProgramIndex(const Program& program, const Instance& database) {
       }
     }
   }
+}
+
+size_t ProgramIndex::NodeWidthBoundPwl(size_t query_atoms) const {
+  return vadalog::NodeWidthBoundPwl(query_atoms, max_level_, max_body_);
 }
 
 const std::vector<size_t>& ProgramIndex::TgdsWithHead(PredicateId p) const {

@@ -50,6 +50,7 @@
 #include "base/hash.h"
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
+#include "engine/resolution.h"
 #include "engine/state.h"
 #include "engine/subsumption.h"
 #include "storage/instance.h"
@@ -68,6 +69,17 @@ class ProgramIndex {
   /// predicate `p` — the only TGDs whose head can piece-unify with an atom
   /// of predicate `p` (Definition 4.3 chunks are predicate-homogeneous).
   const std::vector<size_t>& TgdsWithHead(PredicateId p) const;
+
+  /// The resolution template of TGD `tgd_index` (existential variables
+  /// precomputed), so the searches never re-derive them per step.
+  const TgdTemplate& Template(size_t tgd_index) const {
+    return templates_[tgd_index];
+  }
+
+  /// f_WARD∩PWL(q, Σ) for a query of `query_atoms` atoms (see
+  /// NodeWidthBoundPwl), from the pg(Σ) levels computed once at
+  /// construction instead of per search.
+  size_t NodeWidthBoundPwl(size_t query_atoms) const;
 
   /// True iff some TGD derives `p`.
   bool RuleDerivable(PredicateId p) const {
@@ -113,6 +125,9 @@ class ProgramIndex {
   // of TGDs with p in the body (deduplicated), for AffectedByDelta.
   std::vector<std::vector<PredicateId>> heads_by_body_;
   std::vector<size_t> no_tgds_;
+  std::vector<TgdTemplate> templates_;
+  uint32_t max_level_ = 0;  // max_P ℓΣ(P) over pg(Σ)
+  size_t max_body_ = 0;     // max_σ |body(σ)|
 };
 
 /// Shared memoization across proof searches over one (program, database)

@@ -1,7 +1,6 @@
 #include "engine/state.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 
 #include "base/hash.h"
@@ -10,299 +9,253 @@
 namespace vadalog {
 namespace {
 
-/// Renaming context for one encoding pass: variables always rename;
-/// nulls rename only in extended (sentinel) mode.
-struct RankMaps {
-  bool rename_nulls = false;
-  std::unordered_map<Term, uint64_t> var_rank;
-  std::unordered_map<Term, uint64_t> null_rank;
+constexpr uint32_t kNoSlot = 0xffffffffu;
+constexpr uint32_t kUnranked = 0xffffffffu;
+
+/// One position of the canonical encoder's search: the candidates tried
+/// there and what placing one changed (restored on backtrack).
+struct EncodeLevel {
+  uint32_t next;       // next candidate (index into CanonScratch::cands)
+  uint32_t enc_size;   // encoding length before the placement
+  uint32_t touched;    // rank journal length before the placement
+  uint32_t next_var;   // rank counters before the placement
+  uint32_t next_null;
+  int cmp;             // prefix vs. best so far: <0 smaller, 0 equal
 };
 
-// Encoded argument. Kind tags: constants/nulls keep their packed bits
-// (tags 0/1); canonical variables use the unused tag 3; renamed nulls use
-// tag 1 with a rank (safe: in sentinel mode no raw null bits are emitted).
-uint64_t EncodeArg(Term t, RankMaps* ranks) {
-  if (t.is_constant()) return t.bits();
-  if (t.is_null()) {
-    if (!ranks->rename_nulls) return t.bits();
-    auto [it, inserted] =
-        ranks->null_rank.try_emplace(t, ranks->null_rank.size());
-    return (uint64_t{1} << 62) | it->second;
-  }
-  auto [it, inserted] = ranks->var_rank.try_emplace(t, ranks->var_rank.size());
-  return (uint64_t{3} << 62) | it->second;
-}
-
-/// Encodes the atoms in the given order, ranking variables (and, in
-/// sentinel mode, nulls) by first occurrence.
-std::vector<uint64_t> EncodeOrder(const std::vector<Atom>& atoms,
-                                  const std::vector<size_t>& order,
-                                  bool rename_nulls) {
-  std::vector<uint64_t> enc;
-  size_t words = 0;
-  for (const Atom& a : atoms) words += 1 + a.args.size();
-  enc.reserve(words);
-  RankMaps ranks;
-  ranks.rename_nulls = rename_nulls;
-  for (size_t idx : order) {
-    const Atom& a = atoms[idx];
-    enc.push_back((uint64_t{2} << 62) | a.predicate);
-    for (Term t : a.args) enc.push_back(EncodeArg(t, &ranks));
-  }
-  return enc;
-}
-
-/// Variable-invariant key of an atom: predicate, constants verbatim,
-/// renameable terms abstracted to kind + intra-atom first-occurrence index
-/// + a refinement color from the global occurrence profile.
-std::vector<uint64_t> InvariantKey(
-    const Atom& atom, bool rename_nulls,
-    const std::unordered_map<Term, uint64_t>& term_color) {
-  std::vector<uint64_t> key;
-  key.push_back(atom.predicate);
-  std::unordered_map<Term, uint64_t> local_rank;
-  for (Term t : atom.args) {
-    bool renameable = t.is_variable() || (rename_nulls && t.is_null());
-    if (!renameable) {
-      key.push_back(t.bits());
-      continue;
-    }
-    auto [it, inserted] = local_rank.try_emplace(t, local_rank.size());
-    uint64_t kind_tag = t.is_variable() ? 3 : 1;
-    key.push_back((kind_tag << 62) | it->second);
-    auto color = term_color.find(t);
-    key.push_back(color == term_color.end() ? 0 : color->second);
-  }
-  return key;
-}
-
-constexpr uint32_t kUnranked = 0xffffffffu;
-constexpr uint64_t kFlatVarLimit = 4096;
-
-/// Grow-only per-thread scratch for the flat canonicalization fast path:
-/// every per-term lookup is an array indexed by variable index, and no
-/// allocation survives between calls.
-struct FlatScratch {
-  std::vector<uint64_t> color;     // per variable index
-  std::vector<uint32_t> var_rank;  // per variable index; kUnranked = unseen
-  std::vector<uint32_t> touched;   // var indices to reset in var_rank
-  std::vector<std::pair<uint64_t, uint64_t>> occ;  // (var, code) pairs
+/// Grow-only per-thread scratch of the canonical encoder. Renameable terms
+/// (variables; nulls too in sentinel mode) are renumbered into dense
+/// slots, so every per-term table is a flat array indexed by slot whatever
+/// the original indices are, and nothing is allocated per call beyond the
+/// returned state.
+struct CanonScratch {
+  std::vector<Term> terms;          // slot -> renameable term
+  std::vector<uint32_t> arg_begin;  // per atom: offset of its first arg
+  std::vector<uint32_t> arg_slot;   // per argument: slot, or kNoSlot
+  std::vector<uint64_t> color;      // per slot
+  std::vector<uint32_t> rank;       // per slot; kUnranked = unseen
+  std::vector<uint32_t> touched;    // ranked slots, in ranking order
+  std::vector<std::pair<uint32_t, uint64_t>> occ;  // (slot, code)
   std::vector<uint64_t> run_codes;
   std::vector<uint64_t> keys;  // concatenated per-atom invariant keys
   std::vector<std::pair<uint32_t, uint32_t>> key_span;  // per atom [b, e)
-
-  void Prepare(size_t num_vars) {
-    if (color.size() < num_vars) {
-      color.resize(num_vars, 0);
-      var_rank.resize(num_vars, kUnranked);
-    }
-    occ.clear();
-    keys.clear();
-    key_span.clear();
-  }
+  std::vector<uint32_t> atom_seen;  // slots seen so far within one atom
+  std::vector<size_t> order;        // atoms sorted by invariant key
+  std::vector<uint32_t> cand_begin, cand_end;  // per position, into cands
+  std::vector<size_t> cands;
+  std::vector<uint32_t> twin;       // per candidate: its first twin's index
+  std::vector<uint32_t> uses;       // per slot: occurrences in the state
+  std::vector<char> used;           // per atom: placed at some position
+  std::vector<size_t> current, best_order;
+  std::vector<EncodeLevel> levels;
+  std::vector<uint64_t> enc, best;
 };
 
-/// EncodeOrder for the flat path: identical output, array-backed ranks.
-void FlatEncode(const std::vector<Atom>& atoms,
-                const std::vector<size_t>& order, FlatScratch* s,
-                std::vector<uint64_t>* enc) {
-  enc->clear();
-  uint32_t next = 0;
-  for (size_t idx : order) {
-    const Atom& a = atoms[idx];
-    enc->push_back((uint64_t{2} << 62) | a.predicate);
-    for (Term t : a.args) {
-      if (!t.is_variable()) {
-        enc->push_back(t.bits());
-        continue;
-      }
-      uint32_t v = static_cast<uint32_t>(t.index());
-      if (s->var_rank[v] == kUnranked) {
-        s->var_rank[v] = next++;
-        s->touched.push_back(v);
-      }
-      enc->push_back((uint64_t{3} << 62) | s->var_rank[v]);
-    }
-  }
-  for (uint32_t v : s->touched) s->var_rank[v] = kUnranked;
-  s->touched.clear();
-}
+thread_local CanonScratch canon_scratch;
 
-/// Sorts the (var, code) pairs in `s->occ` and folds each variable's code
-/// run into its color (combining with the previous color when refining).
-/// The hash formulas mirror the map-based general path exactly, so both
-/// paths produce identical canonical encodings.
-void FoldColorRuns(FlatScratch* s, bool combine_old) {
+/// Sorts the (slot, code) pairs in `s->occ` and folds each slot's code run
+/// into its color (combining with the previous color when refining).
+void FoldColorRuns(CanonScratch* s, bool combine_old) {
   std::sort(s->occ.begin(), s->occ.end());
   for (size_t i = 0; i < s->occ.size();) {
-    uint64_t var = s->occ[i].first;
+    uint32_t slot = s->occ[i].first;
     s->run_codes.clear();
     size_t j = i;
-    while (j < s->occ.size() && s->occ[j].first == var) {
+    while (j < s->occ.size() && s->occ[j].first == slot) {
       s->run_codes.push_back(s->occ[j].second);
       ++j;
     }
     size_t c = HashRange(s->run_codes.begin(), s->run_codes.end());
-    if (combine_old) HashCombine(&c, s->color[var]);
-    s->color[var] = c;
+    if (combine_old) HashCombine(&c, s->color[slot]);
+    s->color[slot] = c;
     i = j;
   }
 }
 
-/// The common-case canonicalization (no null renaming, no mapping out,
-/// variable indices < kFlatVarLimit): same algorithm and identical output
-/// as the general path below, with flat arrays replacing the hash maps.
-CanonicalState FlatCanonicalize(std::vector<Atom> atoms, size_t num_vars) {
-  static thread_local FlatScratch scratch;
-  FlatScratch* s = &scratch;
-  s->Prepare(num_vars);
-  CanonicalState state;
+/// Appends the encoding of `atom` (argument slots from `slots`) to `out`,
+/// ranking unseen slots by first occurrence. Kind tags: constants and
+/// unrenamed nulls keep their packed bits (tags 0/1); variables use the
+/// unused tag 3 with their rank; renamed nulls use tag 1 with a rank of
+/// their own (safe: in sentinel mode no raw null bits are emitted).
+void EncodeAtom(const Atom& atom, const uint32_t* slots, CanonScratch* s,
+                std::vector<uint64_t>* out, uint32_t* next_var,
+                uint32_t* next_null) {
+  out->push_back((uint64_t{2} << 62) | atom.predicate);
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    Term t = atom.args[i];
+    uint32_t slot = slots[i];
+    if (slot == kNoSlot) {
+      out->push_back(t.bits());
+      continue;
+    }
+    bool is_var = t.is_variable();
+    if (s->rank[slot] == kUnranked) {
+      s->rank[slot] = is_var ? (*next_var)++ : (*next_null)++;
+      s->touched.push_back(slot);
+    }
+    out->push_back(((is_var ? uint64_t{3} : uint64_t{1}) << 62) |
+                   s->rank[slot]);
+  }
+}
+
+/// Compares `enc` with `best` from `from` on (equal lengths up to
+/// enc.size()): -1, 0 or 1 by the first differing word.
+int ComparePrefix(const std::vector<uint64_t>& enc,
+                  const std::vector<uint64_t>& best, size_t from) {
+  for (size_t k = from; k < enc.size(); ++k) {
+    if (enc[k] != best[k]) return enc[k] < best[k] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// True if atoms `a` and `b` are interchangeable in every order: same
+/// predicate and rigid terms, the same shared renameable terms at the same
+/// positions, and private ones (occurring once in the whole state)
+/// elsewhere. Swapping two such atoms in an order yields the identical
+/// encoding — their private terms take the same first-occurrence ranks —
+/// so the encoder needs to try only one of them at any position.
+bool Twins(const std::vector<Atom>& atoms, size_t a, size_t b,
+           const CanonScratch& s) {
+  const Atom& x = atoms[a];
+  const Atom& y = atoms[b];
+  if (x.predicate != y.predicate || x.args.size() != y.args.size()) {
+    return false;
+  }
+  const uint32_t* sx = &s.arg_slot[s.arg_begin[a]];
+  const uint32_t* sy = &s.arg_slot[s.arg_begin[b]];
+  for (size_t i = 0; i < x.args.size(); ++i) {
+    if (sx[i] == kNoSlot || sy[i] == kNoSlot) {
+      if (x.args[i] != y.args[i]) return false;
+      continue;
+    }
+    if (sx[i] == sy[i]) continue;
+    if (x.args[i].kind() != y.args[i].kind() || s.uses[sx[i]] != 1 ||
+        s.uses[sy[i]] != 1) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Searches the orders of the tie groups of `s->order` for the
+/// lexicographically smallest encoding and leaves it in `s->best_order`.
+///
+/// Depth-first over positions, encoding as it places atoms and comparing
+/// against the best complete encoding so far: a placement whose prefix is
+/// already larger is abandoned with its whole subtree, and a twin of a
+/// candidate already tried at the same position is skipped (its subtree
+/// encodes identically). The enumeration runs group by group, each
+/// group's orders in lexicographic order, and only a strictly smaller
+/// encoding replaces the best — the result is the minimum over every
+/// combination, found without encoding most of them in full.
+template <typename KeyEq>
+void SearchTieGroups(const std::vector<Atom>& atoms, const KeyEq& key_eq,
+                     CanonScratch* s) {
   size_t n = atoms.size();
-
-  // Pass 1: occurrence-profile colors.
-  for (const Atom& a : atoms) {
-    for (size_t i = 0; i < a.args.size(); ++i) {
-      if (a.args[i].is_variable()) {
-        s->occ.emplace_back(a.args[i].index(),
-                            (static_cast<uint64_t>(a.predicate) << 8) | i);
-      }
-    }
-  }
-  FoldColorRuns(s, /*combine_old=*/false);
-
-  // Pass 1b: one WL refinement round (see the general path).
-  if (n > 2) {
-    s->occ.clear();
-    for (const Atom& a : atoms) {
-      size_t atom_sig = a.predicate;
-      for (Term t : a.args) {
-        HashCombine(&atom_sig,
-                    t.is_variable() ? s->color[t.index()] : t.bits());
-      }
-      for (size_t i = 0; i < a.args.size(); ++i) {
-        if (a.args[i].is_variable()) {
-          size_t code = atom_sig;
-          HashCombine(&code, i);
-          s->occ.emplace_back(a.args[i].index(), code);
-        }
-      }
-    }
-    FoldColorRuns(s, /*combine_old=*/true);
-  }
-
-  // Invariant keys, concatenated into one arena. A variable's local rank
-  // is its first-occurrence index among the atom's distinct variables,
-  // exactly as the general path's per-atom rank map.
-  std::vector<uint64_t> atom_seen;
-  for (const Atom& a : atoms) {
-    uint32_t begin = static_cast<uint32_t>(s->keys.size());
-    s->keys.push_back(a.predicate);
-    atom_seen.clear();
-    for (Term t : a.args) {
-      if (!t.is_variable()) {
-        s->keys.push_back(t.bits());
-        continue;
-      }
-      size_t local_rank = 0;
-      while (local_rank < atom_seen.size() &&
-             atom_seen[local_rank] != t.index()) {
-        ++local_rank;
-      }
-      if (local_rank == atom_seen.size()) atom_seen.push_back(t.index());
-      s->keys.push_back((uint64_t{3} << 62) | local_rank);
-      s->keys.push_back(s->color[t.index()]);
-    }
-    s->key_span.emplace_back(begin, static_cast<uint32_t>(s->keys.size()));
-  }
-
-  auto key_less = [s](size_t a, size_t b) {
-    auto [ab, ae] = s->key_span[a];
-    auto [bb, be] = s->key_span[b];
-    return std::lexicographical_compare(s->keys.begin() + ab,
-                                        s->keys.begin() + ae,
-                                        s->keys.begin() + bb,
-                                        s->keys.begin() + be);
-  };
-  auto key_eq = [s](size_t a, size_t b) {
-    auto [ab, ae] = s->key_span[a];
-    auto [bb, be] = s->key_span[b];
-    return ae - ab == be - bb &&
-           std::equal(s->keys.begin() + ab, s->keys.begin() + ae,
-                      s->keys.begin() + bb);
-  };
-
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), key_less);
-
-  std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) in `order`
-  size_t combinations = 1;
+  s->cand_begin.resize(n);
+  s->cand_end.resize(n);
+  s->cands.clear();
+  s->twin.clear();
   for (size_t i = 0; i < n;) {
     size_t j = i + 1;
-    while (j < n && key_eq(order[i], order[j])) ++j;
-    if (j - i > 1) {
-      groups.emplace_back(i, j);
-      for (size_t k = 2; k <= j - i && combinations <= 720; ++k) {
-        combinations *= k;
+    while (j < n && key_eq(s->order[i], s->order[j])) ++j;
+    // Positions i..j-1 choose among the group's atoms in ascending index
+    // order, as a sorted next_permutation enumeration would.
+    uint32_t begin = static_cast<uint32_t>(s->cands.size());
+    s->cands.insert(s->cands.end(), s->order.begin() + i,
+                    s->order.begin() + j);
+    std::sort(s->cands.begin() + begin, s->cands.end());
+    for (uint32_t k = begin; k < s->cands.size(); ++k) {
+      uint32_t rep = k;  // twins form classes; name each by its first
+      for (uint32_t t = begin; t < k; ++t) {
+        if (Twins(atoms, s->cands[t], s->cands[k], *s)) {
+          rep = s->twin[t];
+          break;
+        }
       }
+      s->twin.push_back(rep);
+    }
+    for (size_t p = i; p < j; ++p) {
+      s->cand_begin[p] = begin;
+      s->cand_end[p] = static_cast<uint32_t>(s->cands.size());
     }
     i = j;
   }
 
-  if (groups.empty() || combinations > 720) {
-    FlatEncode(atoms, order, s, &state.encoding);
-  } else {
-    std::vector<uint64_t> best;
-    std::vector<uint64_t> candidate;
-    std::vector<size_t> current = order;
-    std::function<void(size_t)> recurse = [&](size_t group_index) {
-      if (group_index == groups.size()) {
-        FlatEncode(atoms, current, s, &candidate);
-        if (best.empty() || candidate < best) {
-          std::swap(best, candidate);
-          order = current;
-        }
-        return;
-      }
-      auto [begin, end] = groups[group_index];
-      std::vector<size_t> members(current.begin() + begin,
-                                  current.begin() + end);
-      std::sort(members.begin(), members.end());
-      do {
-        std::copy(members.begin(), members.end(), current.begin() + begin);
-        recurse(group_index + 1);
-      } while (std::next_permutation(members.begin(), members.end()));
-    };
-    recurse(0);
-    state.encoding = std::move(best);
-  }
-
-  // Materialize atoms in canonical order with canonical names.
-  uint32_t next_rank = 0;
-  state.atoms.reserve(n);
-  for (size_t idx : order) {
-    Atom renamed;
-    renamed.predicate = atoms[idx].predicate;
-    renamed.args.reserve(atoms[idx].args.size());
-    for (Term t : atoms[idx].args) {
-      if (t.is_variable()) {
-        uint32_t v = static_cast<uint32_t>(t.index());
-        if (s->var_rank[v] == kUnranked) {
-          s->var_rank[v] = next_rank++;
-          s->touched.push_back(v);
-        }
-        renamed.args.push_back(Term::Variable(s->var_rank[v]));
-      } else {
-        renamed.args.push_back(t);
-      }
-    }
-    state.atoms.push_back(std::move(renamed));
-  }
-  for (uint32_t v : s->touched) s->var_rank[v] = kUnranked;
+  s->used.assign(n, 0);
+  s->current.resize(n);
+  s->levels.resize(n + 1);
+  s->enc.clear();
   s->touched.clear();
-
-  state.hash = HashRange(state.encoding.begin(), state.encoding.end());
-  return state;
+  uint32_t next_var = 0;
+  uint32_t next_null = 0;
+  bool have_best = false;
+  auto undo = [&](size_t p) {
+    const EncodeLevel& level = s->levels[p];
+    s->used[s->current[p]] = 0;
+    s->enc.resize(level.enc_size);
+    while (s->touched.size() > level.touched) {
+      s->rank[s->touched.back()] = kUnranked;
+      s->touched.pop_back();
+    }
+    next_var = level.next_var;
+    next_null = level.next_null;
+  };
+  // A candidate is skipped when used, or when an unused twin precedes it
+  // at this position (that twin was tried first).
+  auto skip = [s](uint32_t k, uint32_t begin) {
+    if (s->used[s->cands[k]]) return true;
+    for (uint32_t t = begin; t < k; ++t) {
+      if (s->twin[t] == s->twin[k] && !s->used[s->cands[t]]) return true;
+    }
+    return false;
+  };
+  size_t p = 0;
+  s->levels[0].next = s->cand_begin[0];
+  s->levels[0].cmp = 0;
+  while (true) {
+    if (p == n) {
+      if (!have_best || s->levels[n].cmp < 0) {
+        s->best.assign(s->enc.begin(), s->enc.end());
+        s->best_order.assign(s->current.begin(), s->current.end());
+        have_best = true;
+        // Every prefix of the current path is now a prefix of the best.
+        for (EncodeLevel& level : s->levels) level.cmp = 0;
+      }
+      undo(--p);
+      continue;
+    }
+    EncodeLevel& level = s->levels[p];
+    uint32_t begin = s->cand_begin[p];
+    while (level.next < s->cand_end[p] && skip(level.next, begin)) {
+      ++level.next;
+    }
+    if (level.next == s->cand_end[p]) {
+      if (p == 0) break;
+      undo(--p);
+      continue;
+    }
+    size_t atom = s->cands[level.next++];
+    level.enc_size = static_cast<uint32_t>(s->enc.size());
+    level.touched = static_cast<uint32_t>(s->touched.size());
+    level.next_var = next_var;
+    level.next_null = next_null;
+    s->used[atom] = 1;
+    s->current[p] = atom;
+    EncodeAtom(atoms[atom], &s->arg_slot[s->arg_begin[atom]], s, &s->enc,
+               &next_var, &next_null);
+    int cmp = level.cmp;
+    if (have_best && cmp == 0) {
+      cmp = ComparePrefix(s->enc, s->best, level.enc_size);
+    }
+    if (cmp > 0) {
+      undo(p);  // prefix already larger: prune this placement
+      continue;
+    }
+    ++p;
+    s->levels[p].cmp = cmp;
+    if (p < n) s->levels[p].next = s->cand_begin[p];
+  }
 }
 
 }  // namespace
@@ -320,181 +273,247 @@ CanonicalState CanonicalizeEx(std::vector<Atom> atoms, bool rename_nulls,
     state.hash = HashRange(state.encoding.begin(), state.encoding.end());
     return state;
   }
-  if (!rename_nulls && mapping == nullptr) {
-    uint64_t max_var = 0;
-    for (const Atom& a : atoms) {
-      for (Term t : a.args) {
-        if (t.is_variable() && t.index() > max_var) max_var = t.index();
-      }
-    }
-    if (max_var < kFlatVarLimit) {
-      return FlatCanonicalize(std::move(atoms), max_var + 1);
-    }
-  }
-
+  CanonScratch* s = &canon_scratch;
   auto renameable = [rename_nulls](Term t) {
     return t.is_variable() || (rename_nulls && t.is_null());
   };
 
+  // Dense slots for the renameable terms, in first-occurrence order.
+  // States are node-width bounded (a handful of distinct terms), so a
+  // scan beats any index.
+  s->terms.clear();
+  s->arg_begin.clear();
+  s->arg_slot.clear();
+  for (const Atom& a : atoms) {
+    s->arg_begin.push_back(static_cast<uint32_t>(s->arg_slot.size()));
+    for (Term t : a.args) {
+      if (!renameable(t)) {
+        s->arg_slot.push_back(kNoSlot);
+        continue;
+      }
+      uint32_t slot = 0;
+      while (slot < s->terms.size() && s->terms[slot] != t) ++slot;
+      if (slot == s->terms.size()) {
+        s->terms.push_back(t);
+        s->uses.resize(s->terms.size());
+        s->uses[slot] = 0;
+      }
+      ++s->uses[slot];
+      s->arg_slot.push_back(slot);
+    }
+  }
+  size_t num_slots = s->terms.size();
+  s->color.assign(num_slots, 0);
+  if (s->rank.size() < num_slots) s->rank.resize(num_slots, kUnranked);
+  auto slots_of = [s](size_t atom) { return &s->arg_slot[s->arg_begin[atom]]; };
+
   // Pass 1: color renameable terms by their occurrence profile (multiset
   // of (predicate, position) pairs) to break most ties.
-  std::unordered_map<Term, std::vector<uint64_t>> occurrences;
-  for (const Atom& a : atoms) {
-    for (size_t i = 0; i < a.args.size(); ++i) {
-      if (renameable(a.args[i])) {
-        occurrences[a.args[i]].push_back(
-            (static_cast<uint64_t>(a.predicate) << 8) | i);
+  s->occ.clear();
+  for (size_t a = 0; a < n; ++a) {
+    const uint32_t* slots = slots_of(a);
+    for (size_t i = 0; i < atoms[a].args.size(); ++i) {
+      if (slots[i] != kNoSlot) {
+        s->occ.emplace_back(
+            slots[i], (static_cast<uint64_t>(atoms[a].predicate) << 8) | i);
       }
     }
   }
-  std::unordered_map<Term, uint64_t> term_color;
-  for (auto& [term, profile] : occurrences) {
-    std::sort(profile.begin(), profile.end());
-    term_color[term] = HashRange(profile.begin(), profile.end());
-  }
+  FoldColorRuns(s, /*combine_old=*/false);
 
   // Pass 1b: one Weisfeiler–Leman-style refinement round — recolor each
   // term by the multiset of its occurrences *including the colors of the
-  // co-occurring terms*. This separates most structurally distinct but
-  // profile-identical variables, collapsing the tie groups the brute-force
-  // pass below would otherwise have to permute.
+  // co-occurring variables* (rigid terms, renamed nulls included, enter
+  // by their bits). This separates most structurally distinct but
+  // profile-identical variables, collapsing the tie groups the encoder
+  // below would otherwise have to permute.
   if (n > 2) {
-    auto context_color = [&term_color](Term t) -> uint64_t {
-      if (t.is_constant() || t.is_null()) return t.bits();
-      auto it = term_color.find(t);
-      return it == term_color.end() ? 0 : it->second;
-    };
-    std::unordered_map<Term, std::vector<uint64_t>> refined;
-    for (const Atom& a : atoms) {
-      uint64_t atom_sig = a.predicate;
-      for (Term t : a.args) HashCombine(&atom_sig, context_color(t));
-      for (size_t i = 0; i < a.args.size(); ++i) {
-        if (renameable(a.args[i])) {
-          uint64_t occ = atom_sig;
-          HashCombine(&occ, i);
-          refined[a.args[i]].push_back(occ);
+    s->occ.clear();
+    for (size_t a = 0; a < n; ++a) {
+      const Atom& atom = atoms[a];
+      const uint32_t* slots = slots_of(a);
+      size_t atom_sig = atom.predicate;
+      for (size_t i = 0; i < atom.args.size(); ++i) {
+        Term t = atom.args[i];
+        HashCombine(&atom_sig,
+                    t.is_variable() ? s->color[slots[i]] : t.bits());
+      }
+      for (size_t i = 0; i < atom.args.size(); ++i) {
+        if (slots[i] != kNoSlot) {
+          size_t code = atom_sig;
+          HashCombine(&code, i);
+          s->occ.emplace_back(slots[i], code);
         }
       }
     }
-    for (auto& [term, profile] : refined) {
-      std::sort(profile.begin(), profile.end());
-      uint64_t color = HashRange(profile.begin(), profile.end());
-      HashCombine(&color, term_color[term]);
-      term_color[term] = color;
+    FoldColorRuns(s, /*combine_old=*/true);
+  }
+
+  // Variable-invariant atom keys, concatenated into one arena: predicate,
+  // rigid terms verbatim, renameable terms as kind + first-occurrence rank
+  // among the atom's distinct renameable terms + color.
+  s->keys.clear();
+  s->key_span.clear();
+  for (size_t a = 0; a < n; ++a) {
+    const Atom& atom = atoms[a];
+    const uint32_t* slots = slots_of(a);
+    uint32_t begin = static_cast<uint32_t>(s->keys.size());
+    s->keys.push_back(atom.predicate);
+    s->atom_seen.clear();
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      if (slots[i] == kNoSlot) {
+        s->keys.push_back(atom.args[i].bits());
+        continue;
+      }
+      size_t local_rank = 0;
+      while (local_rank < s->atom_seen.size() &&
+             s->atom_seen[local_rank] != slots[i]) {
+        ++local_rank;
+      }
+      if (local_rank == s->atom_seen.size()) s->atom_seen.push_back(slots[i]);
+      uint64_t kind_tag = atom.args[i].is_variable() ? 3 : 1;
+      s->keys.push_back((kind_tag << 62) | local_rank);
+      s->keys.push_back(s->color[slots[i]]);
     }
+    s->key_span.emplace_back(begin, static_cast<uint32_t>(s->keys.size()));
   }
+  auto key_less = [s](size_t a, size_t b) {
+    auto [ab, ae] = s->key_span[a];
+    auto [bb, be] = s->key_span[b];
+    return std::lexicographical_compare(s->keys.begin() + ab,
+                                        s->keys.begin() + ae,
+                                        s->keys.begin() + bb,
+                                        s->keys.begin() + be);
+  };
+  auto key_eq = [s](size_t a, size_t b) {
+    auto [ab, ae] = s->key_span[a];
+    auto [bb, be] = s->key_span[b];
+    return ae - ab == be - bb &&
+           std::equal(s->keys.begin() + ab, s->keys.begin() + ae,
+                      s->keys.begin() + bb);
+  };
+  s->order.resize(n);
+  for (size_t i = 0; i < n; ++i) s->order[i] = i;
+  std::sort(s->order.begin(), s->order.end(), key_less);
 
-  // Sort atom indices by invariant key; collect tie groups.
-  std::vector<std::vector<uint64_t>> keys(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys[i] = InvariantKey(atoms[i], rename_nulls, term_color);
-  }
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
-
-  std::vector<std::pair<size_t, size_t>> groups;  // [begin, end) in `order`
+  // Tie groups: runs of equal keys. Their orders are searched for the
+  // lexicographically smallest encoding (exact canonical form on
+  // symmetric states) unless the product of their sizes exceeds 720, in
+  // which case the sorted order stands.
   size_t combinations = 1;
   for (size_t i = 0; i < n;) {
     size_t j = i + 1;
-    while (j < n && keys[order[i]] == keys[order[j]]) ++j;
-    if (j - i > 1) {
-      groups.emplace_back(i, j);
-      for (size_t k = 2; k <= j - i && combinations <= 720; ++k) {
-        combinations *= k;
-      }
+    while (j < n && key_eq(s->order[i], s->order[j])) ++j;
+    for (size_t k = 2; k <= j - i && combinations <= 720; ++k) {
+      combinations *= k;
     }
     i = j;
   }
-
-  if (groups.empty() || combinations > 720) {
-    state.encoding = EncodeOrder(atoms, order, rename_nulls);
-  } else {
-    // Brute-force tie-group permutations for the lexicographically
-    // smallest encoding (exact canonical form on symmetric states).
-    std::vector<uint64_t> best;
-    std::vector<size_t> current = order;
-    std::function<void(size_t)> recurse = [&](size_t group_index) {
-      if (group_index == groups.size()) {
-        std::vector<uint64_t> enc = EncodeOrder(atoms, current, rename_nulls);
-        if (best.empty() || enc < best) {
-          best = std::move(enc);
-          order = current;
-        }
-        return;
-      }
-      auto [begin, end] = groups[group_index];
-      std::vector<size_t> members(current.begin() + begin,
-                                  current.begin() + end);
-      std::sort(members.begin(), members.end());
-      do {
-        std::copy(members.begin(), members.end(), current.begin() + begin);
-        recurse(group_index + 1);
-      } while (std::next_permutation(members.begin(), members.end()));
-    };
-    recurse(0);
-    state.encoding = std::move(best);
+  const std::vector<size_t>* chosen = &s->order;
+  if (combinations > 1 && combinations <= 720) {
+    SearchTieGroups(atoms, key_eq, s);
+    chosen = &s->best_order;
   }
 
-  // Materialize atoms in canonical order with canonical names.
-  std::unordered_map<Term, uint64_t> var_rank;
-  std::unordered_map<Term, uint64_t> null_rank;
+  // Materialize the chosen order: canonical atoms and their encoding.
+  size_t words = 0;
+  for (const Atom& a : atoms) words += 1 + a.args.size();
+  state.encoding.reserve(words);
   state.atoms.reserve(n);
-  for (size_t idx : order) {
+  uint32_t next_var = 0;
+  uint32_t next_null = 0;
+  for (size_t idx : *chosen) {
+    const Atom& atom = atoms[idx];
+    const uint32_t* slots = slots_of(idx);
+    EncodeAtom(atom, slots, s, &state.encoding, &next_var, &next_null);
     Atom renamed;
-    renamed.predicate = atoms[idx].predicate;
-    renamed.args.reserve(atoms[idx].args.size());
-    for (Term t : atoms[idx].args) {
-      Term out = t;
-      if (t.is_variable()) {
-        auto [it, inserted] = var_rank.try_emplace(t, var_rank.size());
-        out = Term::Variable(it->second);
-      } else if (rename_nulls && t.is_null()) {
-        auto [it, inserted] = null_rank.try_emplace(t, null_rank.size());
-        out = Term::Null(it->second);
+    renamed.predicate = atom.predicate;
+    renamed.args.reserve(atom.args.size());
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      Term t = atom.args[i];
+      if (slots[i] == kNoSlot) {
+        renamed.args.push_back(t);
+        continue;
       }
-      if (mapping != nullptr && renameable(t)) (*mapping)[t] = out;
+      uint32_t rank = s->rank[slots[i]];
+      Term out = t.is_variable() ? Term::Variable(rank) : Term::Null(rank);
+      if (mapping != nullptr) (*mapping)[t] = out;
       renamed.args.push_back(out);
     }
     state.atoms.push_back(std::move(renamed));
   }
+  for (uint32_t slot : s->touched) s->rank[slot] = kUnranked;
+  s->touched.clear();
+
   state.hash = HashRange(state.encoding.begin(), state.encoding.end());
   return state;
 }
 
-std::vector<int> ComponentIds(const std::vector<Atom>& atoms) {
+namespace {
+
+/// Grow-only per-thread scratch of ComponentIds and the simplifier.
+struct ComponentScratch {
+  std::vector<Term> vars;         // distinct variables seen so far
+  std::vector<uint32_t> first;    // per distinct variable: first atom
+  std::vector<uint32_t> parent;   // union-find over atom indices
+  std::vector<int> id_of_root;
+  std::vector<int> ids;
+  std::vector<char> component_state;
+  std::vector<uint32_t> perm;       // atoms grouped by component
+  std::vector<uint32_t> group_end;  // per component: slice bound in perm
+  std::vector<Atom> grouped;
+};
+
+thread_local ComponentScratch component_scratch;
+
+}  // namespace
+
+void ComponentIds(const std::vector<Atom>& atoms, std::vector<int>* ids) {
+  // Array union-find over atom indices: each atom joins the first atom
+  // that mentioned each of its variables. The distinct variables of a
+  // node-width-bounded state are few, so they are found by a scan — no
+  // per-variable table, and any variable index works.
+  ComponentScratch* s = &component_scratch;
   size_t n = atoms.size();
-  std::vector<int> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = static_cast<int>(i);
-  auto find = [&parent](int x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+  s->parent.resize(n);
+  for (size_t i = 0; i < n; ++i) s->parent[i] = static_cast<uint32_t>(i);
+  auto find = [s](uint32_t x) {
+    while (s->parent[x] != x) {
+      s->parent[x] = s->parent[s->parent[x]];
+      x = s->parent[x];
     }
     return x;
   };
-
-  std::unordered_map<Term, size_t> first_seen;
+  s->vars.clear();
+  s->first.clear();
   for (size_t i = 0; i < n; ++i) {
     for (Term t : atoms[i].args) {
       if (!t.is_variable()) continue;
-      auto [it, inserted] = first_seen.try_emplace(t, i);
-      if (!inserted) {
-        parent[find(static_cast<int>(i))] = find(static_cast<int>(it->second));
+      size_t v = 0;
+      while (v < s->vars.size() && s->vars[v] != t) ++v;
+      if (v == s->vars.size()) {
+        s->vars.push_back(t);
+        s->first.push_back(static_cast<uint32_t>(i));
+      } else {
+        s->parent[find(static_cast<uint32_t>(i))] = find(s->first[v]);
       }
     }
   }
 
   // Dense component ids in first-occurrence order of the roots.
-  std::vector<int> id_of_root(n, -1);
-  std::vector<int> ids(n);
+  s->id_of_root.assign(n, -1);
+  ids->resize(n);
   int next = 0;
   for (size_t i = 0; i < n; ++i) {
-    int root = find(static_cast<int>(i));
-    if (id_of_root[root] < 0) id_of_root[root] = next++;
-    ids[i] = id_of_root[root];
+    uint32_t root = find(static_cast<uint32_t>(i));
+    if (s->id_of_root[root] < 0) s->id_of_root[root] = next++;
+    (*ids)[i] = s->id_of_root[root];
   }
+}
+
+std::vector<int> ComponentIds(const std::vector<Atom>& atoms) {
+  std::vector<int> ids;
+  ComponentIds(atoms, &ids);
   return ids;
 }
 
@@ -546,41 +565,62 @@ size_t EagerSimplifyIncremental(std::vector<Atom>* atoms,
     dirty->resize(kept);
   }
 
-  std::vector<int> ids = ComponentIds(*atoms);
+  // The successor's components, computed once and used both to pick the
+  // components to re-check and to emit the survivors grouped.
+  ComponentScratch* s = &component_scratch;
+  ComponentIds(*atoms, &s->ids);
+  const std::vector<int>& ids = s->ids;
+  size_t n = ids.size();
   int num_components = 0;
   for (int id : ids) num_components = std::max(num_components, id + 1);
 
-  // 0 = keep unchecked (clean, parent certificate), 1 = check, 2 = drop.
-  std::vector<char> component_state(num_components, 0);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if ((*dirty)[i] != 0) component_state[ids[i]] = 1;
-  }
-  std::vector<Atom> scratch;
-  for (int c = 0; c < num_components; ++c) {
-    if (component_state[c] != 1) continue;
-    scratch.clear();
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == c) scratch.push_back((*atoms)[i]);
-    }
-    if (HasHomomorphism(scratch, database)) component_state[c] = 2;
+  // 0 = keep unchecked (clean, parent certificate), 1 = check.
+  s->component_state.assign(num_components, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if ((*dirty)[i] != 0) s->component_state[ids[i]] = 1;
   }
 
-  // Emit survivors grouped by component, in first-occurrence order —
-  // byte-identical to the SplitComponents-based full simplification.
-  std::vector<Atom> kept;
-  kept.reserve(atoms->size());
+  // Survivors are emitted grouped by component, in first-occurrence order
+  // — byte-identical to the SplitComponents-based full simplification.
+  // A counting sort of the atom indices by component gives each component
+  // a contiguous slice, which the matcher checks in place.
+  s->group_end.assign(num_components, 0);
+  for (int id : ids) ++s->group_end[id];
+  for (int c = 1; c < num_components; ++c) {
+    s->group_end[c] += s->group_end[c - 1];
+  }
+  s->perm.resize(n);
+  for (size_t i = n; i-- > 0;) {
+    s->perm[--s->group_end[ids[i]]] = static_cast<uint32_t>(i);
+  }
+  // group_end now holds each component's first offset, and perm lists
+  // each component's atoms in state order. Atoms move only if needed.
+  bool in_order = true;
+  for (size_t k = 0; k < n && in_order; ++k) in_order = s->perm[k] == k;
+  if (!in_order) {
+    s->grouped.resize(n);
+    for (size_t k = 0; k < n; ++k) {
+      s->grouped[k] = std::move((*atoms)[s->perm[k]]);
+    }
+    for (size_t k = 0; k < n; ++k) (*atoms)[k] = std::move(s->grouped[k]);
+  }
   size_t removed = 0;
+  size_t kept = 0;
   for (int c = 0; c < num_components; ++c) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] != c) continue;
-      if (component_state[c] == 2) {
-        ++removed;
-      } else {
-        kept.push_back(std::move((*atoms)[i]));
-      }
+    size_t begin = s->group_end[c];
+    size_t end = c + 1 < num_components ? s->group_end[c + 1] : n;
+    if (s->component_state[c] == 1 &&
+        HasHomomorphism(atoms->data() + begin, atoms->data() + end,
+                        database)) {
+      removed += end - begin;
+      continue;
+    }
+    for (size_t k = begin; k < end; ++k) {
+      if (kept != k) (*atoms)[kept] = std::move((*atoms)[k]);
+      ++kept;
     }
   }
-  *atoms = std::move(kept);
+  atoms->resize(kept);
   return removed;
 }
 

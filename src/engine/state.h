@@ -6,8 +6,9 @@
 // to constants (Section 4.3). Two states that differ only by a bijective
 // renaming of variables are interchangeable, so the search canonicalizes
 // states before deduplicating them: atoms are ordered by a variable-
-// invariant key (refined once by variable "colors"), residual symmetric
-// groups are resolved by bounded brute force, and variables are renamed by
+// invariant key (refined once by variable "colors"), the orders of
+// residual symmetric groups are searched for the smallest encoding
+// (bounded, with prefix and twin pruning), and variables are renamed by
 // first occurrence.
 
 #ifndef VADALOG_ENGINE_STATE_H_
@@ -62,6 +63,10 @@ std::vector<std::vector<Atom>> SplitComponents(const std::vector<Atom>& atoms);
 /// Per-atom connected-component ids (same connectivity as SplitComponents;
 /// ids are dense, in first-occurrence order). No database work.
 std::vector<int> ComponentIds(const std::vector<Atom>& atoms);
+
+/// ComponentIds into a caller-owned buffer (resized to atoms.size()), for
+/// the per-expansion hot path.
+void ComponentIds(const std::vector<Atom>& atoms, std::vector<int>* ids);
 
 /// Removes every connected component that maps homomorphically into the
 /// database (such components are proof-tree leaves: they can be specialized

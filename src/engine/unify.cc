@@ -3,10 +3,16 @@
 namespace vadalog {
 
 Term Unifier::Resolve(Term t) const {
-  while (t.is_variable()) {
-    auto it = bindings_.find(t);
-    if (it == bindings_.end()) return t;
-    t = it->second;
+  while (t.is_variable() && (filter_ & FilterBit(t)) != 0) {
+    const Binding* found = nullptr;
+    for (const Binding& b : journal_) {
+      if (b.var == t) {
+        found = &b;
+        break;
+      }
+    }
+    if (found == nullptr) return t;
+    t = found->value;
   }
   return t;
 }
@@ -16,13 +22,13 @@ bool Unifier::Unify(Term a, Term b) {
   b = Resolve(b);
   if (a == b) return true;
   if (a.is_variable()) {
-    bindings_.emplace(a, b);
-    journal_.push_back(a);
+    journal_.push_back(Binding{a, b});
+    filter_ |= FilterBit(a);
     return true;
   }
   if (b.is_variable()) {
-    bindings_.emplace(b, a);
-    journal_.push_back(b);
+    journal_.push_back(Binding{b, a});
+    filter_ |= FilterBit(b);
     return true;
   }
   return false;  // two distinct rigid terms
@@ -39,34 +45,38 @@ bool Unifier::UnifyAtoms(const Atom& a, const Atom& b) {
 }
 
 void Unifier::Rewind(size_t mark) {
-  while (journal_.size() > mark) {
-    bindings_.erase(journal_.back());
-    journal_.pop_back();
-  }
+  if (mark >= journal_.size()) return;
+  journal_.resize(mark);
+  filter_ = 0;
+  for (const Binding& b : journal_) filter_ |= FilterBit(b.var);
 }
 
 Substitution Unifier::ToSubstitution() const {
   Substitution subst;
-  for (const auto& [from, to] : bindings_) {
-    subst[from] = Resolve(from);
-  }
+  for (const Binding& b : journal_) subst[b.var] = Resolve(b.var);
   return subst;
 }
 
 std::vector<Term> Unifier::ClassOf(Term t) const {
-  Term representative = Resolve(t);
   std::vector<Term> members;
-  if (t.is_variable()) members.push_back(t);
-  for (const auto& [from, to] : bindings_) {
-    if (from != t && Resolve(from) == representative) members.push_back(from);
-  }
-  // The representative itself, if a variable distinct from t.
-  if (representative.is_variable() && representative != t) {
-    bool present = false;
-    for (Term m : members) present = present || m == representative;
-    if (!present) members.push_back(representative);
-  }
+  ClassOf(t, &members);
   return members;
+}
+
+void Unifier::ClassOf(Term t, std::vector<Term>* members) const {
+  members->clear();
+  Term representative = Resolve(t);
+  if (t.is_variable()) members->push_back(t);
+  for (const Binding& b : journal_) {
+    if (b.var != t && Resolve(b.var) == representative) {
+      members->push_back(b.var);
+    }
+  }
+  // The representative itself, if a variable distinct from t. It is
+  // unbound, so it is not among the journal's keys.
+  if (representative.is_variable() && representative != t) {
+    members->push_back(representative);
+  }
 }
 
 std::optional<Substitution> MostGeneralUnifier(const Atom& a, const Atom& b) {

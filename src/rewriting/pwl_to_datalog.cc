@@ -31,6 +31,7 @@ class RewriteBuilder {
                                      symbols.PredicateArity(id));
     }
     intensional_ = input.IntensionalPredicates();
+    templates_ = MakeTgdTemplates(input);
   }
 
   /// Runs the exploration from the frozen initial state; returns the goal
@@ -287,7 +288,8 @@ class RewriteBuilder {
     }
     for (size_t tgd_index = 0; tgd_index < input_.tgds().size(); ++tgd_index) {
       std::vector<Resolvent> resolvents = ResolveWithTgd(
-          state.atoms, input_, tgd_index, fresh_base, max_chunk_);
+          state.atoms, templates_[tgd_index], tgd_index, fresh_base,
+          max_chunk_);
       for (Resolvent& r : resolvents) {
         if (r.atoms.size() > width_) continue;  // Theorem 4.8 pruning
         std::unordered_map<Term, Term> mapping;
@@ -331,6 +333,7 @@ class RewriteBuilder {
 
   Program out_;
   std::unordered_set<PredicateId> intensional_;
+  std::vector<TgdTemplate> templates_;  // per-TGD resolution templates
   size_t width_ = 0;
   size_t max_chunk_ = 0;
   ConjunctiveQuery goal_query_;

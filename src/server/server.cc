@@ -4,6 +4,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -330,16 +331,22 @@ void Server::EventLoop() {
     // (unbounded, idle) poll wait above is deliberately excluded.
     auto batch_start = std::chrono::steady_clock::now();
     closed_in_batch_.clear();
+    // Drain the self-pipe *before* the completion queue. A worker queues
+    // its completion and then writes a wake byte; draining the pipe after
+    // the queue would swallow the byte of a completion queued in between,
+    // leaving its reply parked until some unrelated event. In this order
+    // such a byte stays in the pipe and wakes the next Wait.
+    for (const Poller::Event& event : events) {
+      if (event.fd != wakeup_read_) continue;
+      counters_.wakeups->Add(1);
+      char drain[256];
+      while (::read(wakeup_read_, drain, sizeof drain) > 0) {
+      }
+    }
     DrainCompletions();
     for (const Poller::Event& event : events) {
       if (closed_in_batch_.count(event.fd) != 0) continue;  // stale event
-      if (event.fd == wakeup_read_) {
-        counters_.wakeups->Add(1);
-        char drain[256];
-        while (::read(wakeup_read_, drain, sizeof drain) > 0) {
-        }
-        continue;
-      }
+      if (event.fd == wakeup_read_) continue;  // drained above
       bool is_listener = false;
       for (int fd : listen_fds_) {
         if (fd == event.fd) {
@@ -423,6 +430,11 @@ void Server::AcceptReady(int listen_fd) {
       ::close(fd);
       continue;
     }
+    // Replies are small, self-contained writes: without TCP_NODELAY the
+    // second of two back-to-back replies on one connection waits for the
+    // client's delayed ACK (~40 ms). Fails harmlessly on Unix sockets.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
     connection->last_active = ++activity_clock_;

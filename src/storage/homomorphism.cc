@@ -1,110 +1,202 @@
 #include "storage/homomorphism.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 namespace vadalog {
 namespace {
 
-/// Chooses a join order greedily: the atom with the most bound terms first
-/// (ties: smaller relation). Returns indices into `atoms`.
-std::vector<size_t> JoinOrder(const std::vector<Atom>& atoms,
-                              const Instance& instance,
-                              const Substitution& seed) {
-  std::vector<size_t> order;
-  std::vector<bool> used(atoms.size(), false);
-  std::unordered_set<Term> bound_vars;
-  for (const auto& [from, to] : seed) {
-    if (from.is_variable()) bound_vars.insert(from);
-  }
-  auto bound_terms = [&](const Atom& atom) {
-    size_t bound = 0;
-    for (Term t : atom.args) {
-      if (t.is_rigid() || bound_vars.count(t) > 0) ++bound;
+/// One compiled pattern atom: its arguments live in `MatchFrame::args`
+/// [begin, end), with every variable renamed to its dense slot.
+struct PatternAtom {
+  const Relation* relation;  // null: the predicate has no tuples
+  uint32_t begin, end;
+};
+
+/// Per-call matcher state. The pattern is compiled once per call: seed
+/// bindings are applied, the remaining variables are renumbered densely
+/// in first-occurrence order (`vars[slot]` is the original variable), and
+/// bindings live in a flat array indexed by slot. A slot holding a
+/// variable is unbound — tuples are rigid, so no binding is ever a
+/// variable. Frames are grow-only and thread-local; a callback may match
+/// again (the proof searches simplify successors from inside their
+/// match-and-drop callbacks), so nested calls take the next frame.
+struct MatchFrame {
+  std::vector<Term> vars;       // slot -> original variable
+  std::vector<Term> args;       // compiled arguments of all atoms
+  std::vector<PatternAtom> atoms;
+  std::vector<uint32_t> order;  // join order (indices into `atoms`)
+  std::vector<Term> value;      // slot -> binding; a variable = unbound
+  std::vector<uint32_t> touched;  // slots bound so far, in binding order
+  std::vector<char> used;
+  Substitution out;             // the callback's view, built lazily
+  bool out_ready = false;
+};
+
+struct MatchFrames {
+  std::vector<std::unique_ptr<MatchFrame>> frames;
+  size_t depth = 0;
+};
+
+thread_local MatchFrames match_frames;
+
+/// Takes the next thread-local frame for the duration of one call.
+class FrameLease {
+ public:
+  FrameLease() {
+    MatchFrames& f = match_frames;
+    if (f.depth == f.frames.size()) {
+      f.frames.push_back(std::make_unique<MatchFrame>());
     }
-    return bound;
-  };
-  for (size_t step = 0; step < atoms.size(); ++step) {
-    size_t best = atoms.size();
+    frame_ = f.frames[f.depth++].get();
+  }
+  ~FrameLease() { --match_frames.depth; }
+  FrameLease(const FrameLease&) = delete;
+  FrameLease& operator=(const FrameLease&) = delete;
+  MatchFrame* get() const { return frame_; }
+
+ private:
+  MatchFrame* frame_;
+};
+
+/// Compiles atoms[0, count) under `seed` into `f` and picks the join
+/// order greedily: the atom with the most bound terms first (ties: smaller
+/// relation, then earlier atom).
+void Compile(const Atom* atoms, size_t count, const Instance& instance,
+             const Substitution& seed, MatchFrame* f) {
+  f->vars.clear();
+  f->args.clear();
+  f->atoms.clear();
+  for (size_t a = 0; a < count; ++a) {
+    uint32_t begin = static_cast<uint32_t>(f->args.size());
+    for (Term t : atoms[a].args) {
+      if (!seed.empty()) t = ApplySubstitution(seed, t);
+      if (t.is_variable()) {
+        // Patterns are CQ bodies and proof-state components: a handful of
+        // distinct variables, so a scan beats any index.
+        size_t slot = 0;
+        while (slot < f->vars.size() && f->vars[slot] != t) ++slot;
+        if (slot == f->vars.size()) f->vars.push_back(t);
+        t = Term::Variable(slot);
+      }
+      f->args.push_back(t);
+    }
+    f->atoms.push_back(PatternAtom{instance.RelationFor(atoms[a].predicate),
+                                   begin,
+                                   static_cast<uint32_t>(f->args.size())});
+  }
+  f->value.resize(f->vars.size());
+  for (size_t i = 0; i < f->vars.size(); ++i) {
+    f->value[i] = Term::Variable(i);
+  }
+  f->touched.clear();
+  f->out_ready = false;
+
+  // Join order. `value` doubles as the "bound" marks while ordering: a
+  // slot counts as bound once an earlier atom of the order mentions it.
+  size_t n = f->atoms.size();
+  f->order.clear();
+  if (n == 1) {
+    f->order.push_back(0);
+    return;
+  }
+  f->used.assign(n, 0);
+  for (size_t step = 0; step < n; ++step) {
+    size_t best = n;
     size_t best_bound = 0;
     size_t best_size = ~size_t{0};
-    for (size_t i = 0; i < atoms.size(); ++i) {
-      if (used[i]) continue;
-      size_t bound = bound_terms(atoms[i]);
-      const Relation* rel = instance.RelationFor(atoms[i].predicate);
-      size_t size = rel == nullptr ? 0 : rel->size();
-      if (best == atoms.size() || bound > best_bound ||
+    for (size_t i = 0; i < n; ++i) {
+      if (f->used[i]) continue;
+      const PatternAtom& pa = f->atoms[i];
+      size_t bound = 0;
+      for (uint32_t k = pa.begin; k < pa.end; ++k) {
+        Term t = f->args[k];
+        if (t.is_rigid() || f->value[t.index()].is_rigid()) ++bound;
+      }
+      size_t size = pa.relation == nullptr ? 0 : pa.relation->size();
+      if (best == n || bound > best_bound ||
           (bound == best_bound && size < best_size)) {
         best = i;
         best_bound = bound;
         best_size = size;
       }
     }
-    used[best] = true;
-    order.push_back(best);
-    for (Term t : atoms[best].args) {
-      if (t.is_variable()) bound_vars.insert(t);
+    f->used[best] = 1;
+    f->order.push_back(static_cast<uint32_t>(best));
+    const PatternAtom& chosen = f->atoms[best];
+    for (uint32_t k = chosen.begin; k < chosen.end; ++k) {
+      Term t = f->args[k];
+      if (t.is_variable()) f->value[t.index()] = Term::Constant(0);
     }
   }
-  return order;
-}
-
-/// Attempts to extend `subst` so that `atom` maps onto `tuple`; appends the
-/// newly bound variables to `newly_bound`. Returns false on mismatch (in
-/// which case the caller must roll back `newly_bound`).
-bool TryExtend(const Atom& atom, const std::vector<Term>& tuple,
-               Substitution* subst, std::vector<Term>* newly_bound) {
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    Term pattern = ApplySubstitution(*subst, atom.args[i]);
-    if (pattern.is_rigid()) {
-      if (pattern != tuple[i]) return false;
-    } else {
-      subst->emplace(pattern, tuple[i]);
-      newly_bound->push_back(pattern);
-    }
+  for (size_t i = 0; i < f->vars.size(); ++i) {
+    f->value[i] = Term::Variable(i);
   }
-  return true;
 }
 
-bool MatchFrom(const std::vector<Atom>& atoms,
-               const std::vector<size_t>& order, size_t depth,
-               const Instance& instance, Substitution* subst,
-               const HomomorphismCallback& callback) {
-  if (depth == order.size()) return callback(*subst);
-  const Atom& atom = atoms[order[depth]];
-  const Relation* rel = instance.RelationFor(atom.predicate);
+/// The callback's substitution: the seed plus every slot binding. The map
+/// is built on the first match and updated in place afterwards (every
+/// match binds the same variables).
+const Substitution& CallbackView(const Substitution& seed, MatchFrame* f) {
+  if (!f->out_ready) {
+    f->out = seed;
+    f->out_ready = true;
+  }
+  for (size_t i = 0; i < f->vars.size(); ++i) {
+    f->out.insert_or_assign(f->vars[i], f->value[i]);
+  }
+  return f->out;
+}
+
+/// Depth-first join over `f->order`. Returns false as soon as the callback
+/// stops the enumeration (a null callback stops at the first match).
+bool MatchFrom(size_t depth, const Substitution& seed,
+               const HomomorphismCallback* callback, MatchFrame* f) {
+  if (depth == f->order.size()) {
+    return callback != nullptr && (*callback)(CallbackView(seed, f));
+  }
+  const PatternAtom& pa = f->atoms[f->order[depth]];
+  const Relation* rel = pa.relation;
   if (rel == nullptr) return true;  // no tuples: zero matches, keep going
 
-  // Pick the most selective bound position to drive the index lookup.
-  int best_position = -1;
-  size_t best_candidates = ~size_t{0};
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    Term t = ApplySubstitution(*subst, atom.args[i]);
+  // Drive the scan through the most selective bound position.
+  const std::vector<uint32_t>* rows = nullptr;
+  for (uint32_t k = pa.begin; k < pa.end; ++k) {
+    Term t = f->args[k];
+    if (t.is_variable()) t = f->value[t.index()];
     if (!t.is_rigid()) continue;
-    size_t n = rel->RowsWith(static_cast<uint32_t>(i), t).size();
-    if (n < best_candidates) {
-      best_candidates = n;
-      best_position = static_cast<int>(i);
-    }
+    const std::vector<uint32_t>& with = rel->RowsWith(k - pa.begin, t);
+    if (rows == nullptr || with.size() < rows->size()) rows = &with;
   }
 
   auto try_row = [&](size_t row) {
-    std::vector<Term> newly_bound;
-    if (TryExtend(atom, rel->TupleAt(row), subst, &newly_bound)) {
-      if (!MatchFrom(atoms, order, depth + 1, instance, subst, callback)) {
-        for (Term t : newly_bound) subst->erase(t);
-        return false;
+    const std::vector<Term>& tuple = rel->TupleAt(row);
+    size_t mark = f->touched.size();
+    bool ok = true;
+    for (uint32_t k = pa.begin; k < pa.end && ok; ++k) {
+      Term t = f->args[k];
+      Term actual = tuple[k - pa.begin];
+      if (t.is_rigid()) {
+        ok = t == actual;
+      } else if (Term& v = f->value[t.index()]; v.is_rigid()) {
+        ok = v == actual;
+      } else {
+        v = actual;
+        f->touched.push_back(static_cast<uint32_t>(t.index()));
       }
     }
-    for (Term t : newly_bound) subst->erase(t);
-    return true;
+    bool keep_going = !ok || MatchFrom(depth + 1, seed, callback, f);
+    while (f->touched.size() > mark) {
+      uint32_t slot = f->touched.back();
+      f->value[slot] = Term::Variable(slot);
+      f->touched.pop_back();
+    }
+    return keep_going;
   };
 
-  if (best_position >= 0) {
-    Term key = ApplySubstitution(
-        *subst, atom.args[static_cast<size_t>(best_position)]);
-    for (uint32_t row :
-         rel->RowsWith(static_cast<uint32_t>(best_position), key)) {
+  if (rows != nullptr) {
+    for (uint32_t row : *rows) {
       if (!try_row(row)) return false;
     }
   } else {
@@ -115,25 +207,40 @@ bool MatchFrom(const std::vector<Atom>& atoms,
   return true;
 }
 
+/// The one matcher behind ForEachHomomorphism and HasHomomorphism.
+/// Returns true if the enumeration ran to completion.
+bool Match(const Atom* atoms, size_t count, const Instance& instance,
+           const Substitution& seed, const HomomorphismCallback* callback) {
+  FrameLease lease;
+  MatchFrame* f = lease.get();
+  Compile(atoms, count, instance, seed, f);
+  return MatchFrom(0, seed, callback, f);
+}
+
+const Substitution kNoSeed;
+
 }  // namespace
 
 bool ForEachHomomorphism(const std::vector<Atom>& atoms,
                          const Instance& instance, const Substitution& seed,
                          const HomomorphismCallback& callback) {
-  if (atoms.empty()) return callback(seed);
-  std::vector<size_t> order = JoinOrder(atoms, instance, seed);
-  Substitution subst = seed;
-  return MatchFrom(atoms, order, 0, instance, &subst, callback);
+  return Match(atoms.data(), atoms.size(), instance, seed, &callback);
+}
+
+bool ForEachHomomorphism(const Atom& atom, const Instance& instance,
+                         const HomomorphismCallback& callback) {
+  return Match(&atom, 1, instance, kNoSeed, &callback);
 }
 
 bool HasHomomorphism(const std::vector<Atom>& atoms, const Instance& instance,
                      const Substitution& seed) {
-  bool found = false;
-  ForEachHomomorphism(atoms, instance, seed, [&found](const Substitution&) {
-    found = true;
-    return false;  // stop at the first match
-  });
-  return found;
+  return !Match(atoms.data(), atoms.size(), instance, seed, nullptr);
+}
+
+bool HasHomomorphism(const Atom* begin, const Atom* end,
+                     const Instance& instance) {
+  return !Match(begin, static_cast<size_t>(end - begin), instance, kNoSeed,
+                nullptr);
 }
 
 std::vector<std::vector<Term>> EvaluateQuery(const ConjunctiveQuery& query,

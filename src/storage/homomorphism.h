@@ -30,9 +30,20 @@ bool ForEachHomomorphism(const std::vector<Atom>& atoms,
                          const Instance& instance, const Substitution& seed,
                          const HomomorphismCallback& callback);
 
-/// True if at least one homomorphism extending `seed` exists.
+/// ForEachHomomorphism for a single atom and no seed (the match-and-drop
+/// step of the proof searches), without building a pattern vector.
+bool ForEachHomomorphism(const Atom& atom, const Instance& instance,
+                         const HomomorphismCallback& callback);
+
+/// True if at least one homomorphism extending `seed` exists. Never
+/// builds a substitution.
 bool HasHomomorphism(const std::vector<Atom>& atoms, const Instance& instance,
                      const Substitution& seed = {});
+
+/// HasHomomorphism over the atoms of [begin, end) with no seed, for
+/// callers that check slices of a larger vector without copying them out.
+bool HasHomomorphism(const Atom* begin, const Atom* end,
+                     const Instance& instance);
 
 /// Evaluates a CQ over an instance: the set of output tuples h(x̄) over all
 /// homomorphisms. When `certain_only` is set, tuples containing nulls are

@@ -6,6 +6,7 @@
 #include "ast/parser.h"
 #include "engine/certain.h"
 #include "engine/linear_search.h"
+#include "gen/generators.h"
 #include "vadalog/reasoner.h"
 
 namespace vadalog {
@@ -245,6 +246,75 @@ TEST(LinearSearchTest, PerfCanaryOwl2QlRefutation) {
   EXPECT_FALSE(result.budget_exhausted);
   EXPECT_LE(result.states_expanded, 16000u);
   EXPECT_LE(result.states_visited, 16000u);
+}
+
+// Golden counters: exact exploration counters of single-threaded linear
+// searches over generated OWL 2 QL ontologies. The per-successor kernels
+// (matcher, components, canonical encoder, unifier) must change none of
+// them — a kernel that is faster but not bit-identical shifts the visited
+// set, the subsumption order and hence these numbers. The last case is the
+// decision that exhausts cold_search's state budget.
+struct GoldenCase {
+  uint64_t seed;
+  uint32_t classes, properties, individuals;
+  const char* individual;
+  const char* cls;
+  uint64_t max_states;
+  bool accepted, exhausted;
+  uint64_t expanded, visited, subsumption_checks, resolution_edges,
+      drop_edges, subsumed_discarded;
+};
+
+const GoldenCase kGoldenCases[] = {
+    // clang-format off
+    {1, 6, 1, 8, "ind3", "class0", 20000, true, false, 31, 59, 168, 45, 25, 14},
+    {3, 6, 2, 8, "ind7", "class0", 20000, true, false, 14, 27, 33, 19, 9, 0},
+    {5, 8, 3, 10, "ind4", "class0", 20000, true, false, 18, 35, 40, 25, 14, 2},
+    {1, 6, 1, 8, "ind3", "class5", 20000, false, false, 214, 1791, 20927, 6790, 260, 1534},
+    {2, 6, 1, 8, "ind7", "class4", 20000, false, false, 110, 531, 4393, 3880, 135, 375},
+    {3, 6, 2, 8, "ind2", "class1", 20000, false, false, 432, 888, 11859, 4563, 428, 454},
+    {4, 8, 2, 10, "ind9", "class2", 20000, false, false, 594, 2216, 33853, 8123, 797, 1585},
+    {5, 8, 3, 10, "ind9", "class4", 20000, false, false, 469, 1613, 21957, 6291, 530, 1068},
+    {7919, 30, 6, 120, "ind65", "class8", 20000, false, true, 20000, 55233, 22261, 86254, 19271, 660},
+    // clang-format on
+};
+
+TEST(LinearSearchTest, GoldenCountersOnGeneratedOntologies) {
+  for (const GoldenCase& c : kGoldenCases) {
+    Program program = MakeOwl2QlProgram();
+    Rng rng(c.seed);
+    AddOntologyFacts(&program, c.classes, c.properties, c.individuals, &rng);
+    NormalizeToSingleHead(&program, nullptr);
+    Instance db = DatabaseFromFacts(program.facts());
+    PredicateId type = program.symbols().FindPredicate("type");
+    ConjunctiveQuery query;
+    query.output = {Term::Variable(0), Term::Variable(1)};
+    query.atoms = {Atom(type, {Term::Variable(0), Term::Variable(1)})};
+    ProofSearchOptions options;
+    options.max_states = c.max_states;
+    ProofSearchResult r = LinearProofSearch(
+        program, db, query,
+        {program.symbols().InternConstant(c.individual),
+         program.symbols().InternConstant(c.cls)},
+        options);
+    std::string label = std::to_string(c.seed) + "/" + c.individual + "/" +
+                        c.cls + " got {" + (r.accepted ? "true" : "false") +
+                        ", " + (r.budget_exhausted ? "true" : "false") +
+                        ", " + std::to_string(r.states_expanded) + ", " +
+                        std::to_string(r.states_visited) + ", " +
+                        std::to_string(r.subsumption_checks) + ", " +
+                        std::to_string(r.resolution_edges) + ", " +
+                        std::to_string(r.drop_edges) + ", " +
+                        std::to_string(r.subsumed_discarded) + "}";
+    EXPECT_EQ(r.accepted, c.accepted) << label;
+    EXPECT_EQ(r.budget_exhausted, c.exhausted) << label;
+    EXPECT_EQ(r.states_expanded, c.expanded) << label;
+    EXPECT_EQ(r.states_visited, c.visited) << label;
+    EXPECT_EQ(r.subsumption_checks, c.subsumption_checks) << label;
+    EXPECT_EQ(r.resolution_edges, c.resolution_edges) << label;
+    EXPECT_EQ(r.drop_edges, c.drop_edges) << label;
+    EXPECT_EQ(r.subsumed_discarded, c.subsumed_discarded) << label;
+  }
 }
 
 TEST(LinearSearchTest, SubsumptionPruningPreservesDecisions) {

@@ -21,7 +21,9 @@
 
 #include <csignal>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -66,6 +68,15 @@ class TestClient {
     if (fd_ >= 0) ::close(fd_);
   }
   bool connected() const { return connected_; }
+
+  /// Bounds every blocking read: a reply that never comes fails the read
+  /// instead of hanging the test.
+  bool SetReceiveTimeout(std::chrono::milliseconds timeout) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+    return ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) == 0;
+  }
 
   bool SendLine(const std::string& line) {
     std::string out = line + "\n";
@@ -671,6 +682,53 @@ TEST(ServerTest, SlowReadingClientDoesNotBlockOtherConnections) {
     EXPECT_EQ(response->Find("id")->AsNumber(), static_cast<double>(i));
     EXPECT_EQ(response->Find("answers")->Items().size(), 4000u);
   }
+  server->Stop();
+}
+
+// Regression: the loop must not lose a worker's wake byte. A completion
+// queued between the loop's completion-queue swap and its pipe read used
+// to have its byte swallowed, parking the reply until some unrelated
+// event — and with the only other connection idle, none ever comes. The
+// active client pipelines bursts of worker-served QUERYs so completions
+// keep landing while the loop is mid-drain; every reply must arrive
+// promptly (the receive timeout turns a parked reply into a failure
+// instead of a hang). Back-to-back replies on one connection also
+// exercise the daemon's TCP_NODELAY.
+TEST(ServerTest, WorkerRepliesWakeTheLoopWhileOtherConnectionsIdle) {
+  std::unique_ptr<Server> server = StartServer();
+  TestClient loader(server->tcp_port());
+  ASSERT_TRUE(loader.connected());
+  ASSERT_TRUE(loader.RoundTrip(LoadLine("g", kProgram))->GetBool("ok"));
+
+  TestClient idle(server->tcp_port());
+  ASSERT_TRUE(idle.connected());
+  TestClient active(server->tcp_port());
+  ASSERT_TRUE(active.connected());
+  ASSERT_TRUE(active.SetReceiveTimeout(std::chrono::seconds(2)));
+
+  constexpr int kBursts = 150;
+  constexpr int kBurst = 4;
+  std::vector<double> waits_ms;
+  for (int burst = 0; burst < kBursts; ++burst) {
+    for (int i = 0; i < kBurst; ++i) {
+      ASSERT_TRUE(active.SendLine(
+          R"({"cmd":"QUERY","session":"g","query_index":0})"));
+    }
+    auto last = std::chrono::steady_clock::now();
+    for (int i = 0; i < kBurst; ++i) {
+      std::optional<std::string> line = active.ReadLine();
+      ASSERT_TRUE(line.has_value())
+          << "reply " << i << " of burst " << burst << " never arrived";
+      auto now = std::chrono::steady_clock::now();
+      waits_ms.push_back(
+          std::chrono::duration<double, std::milli>(now - last).count());
+      last = now;
+    }
+  }
+  // A lost wakeup parks a reply indefinitely, and Nagle's algorithm on
+  // the daemon's socket holds a pipelined reply for the client's delayed
+  // ACK (~40 ms); with both fixed every reply comes in well under 50 ms.
+  EXPECT_LT(*std::max_element(waits_ms.begin(), waits_ms.end()), 50.0);
   server->Stop();
 }
 

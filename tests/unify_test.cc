@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ast/parser.h"
 #include "engine/resolution.h"
 #include "engine/unify.h"
@@ -31,6 +33,70 @@ TEST(UnifierTest, TransitiveChainsResolve) {
   Substitution subst = u.ToSubstitution();
   EXPECT_EQ(subst.at(Term::Variable(0)), Term::Constant(9));
   EXPECT_EQ(subst.at(Term::Variable(1)), Term::Constant(9));
+}
+
+TEST(UnifierTest, LargeVariableIndicesAndFilterCollisions) {
+  // Indices far beyond any dense table, and indices that share their low
+  // six bits (the unbound-lookup filter), must bind and rewind exactly.
+  Term big = Term::Variable(uint64_t{1} << 40);
+  Term v4096 = Term::Variable(4096);
+  Term v1 = Term::Variable(1);
+  Term v65 = Term::Variable(65);  // same filter bit as v1
+  Unifier u;
+  EXPECT_TRUE(u.Unify(big, v4096));
+  size_t mark = u.Mark();
+  EXPECT_TRUE(u.Unify(v1, Term::Constant(3)));
+  EXPECT_EQ(u.Resolve(v65), v65);  // filter hit, but unbound
+  EXPECT_TRUE(u.Unify(v65, v4096));
+  EXPECT_TRUE(u.Unify(v4096, Term::Constant(8)));
+  EXPECT_EQ(u.Resolve(big), Term::Constant(8));
+  EXPECT_EQ(u.Resolve(v65), Term::Constant(8));
+  EXPECT_FALSE(u.Unify(v65, v1));  // 8 vs 3
+  u.Rewind(mark);
+  EXPECT_EQ(u.Resolve(v1), v1);
+  EXPECT_EQ(u.Resolve(v65), v65);
+  EXPECT_EQ(u.Resolve(big), v4096);
+  Substitution subst = u.ToSubstitution();
+  ASSERT_EQ(subst.size(), 1u);
+  EXPECT_EQ(subst.at(big), v4096);
+}
+
+TEST(UnifierTest, ClassOfIsIndependentOfBindingOrder) {
+  // The same equalities, applied in every order, give the same classes
+  // (as sets) and the same resolved rigid values.
+  const Term x = Term::Variable(3), y = Term::Variable(5000),
+             z = Term::Variable(67), w = Term::Variable(uint64_t{1} << 33),
+             u_var = Term::Variable(9);
+  std::vector<std::pair<Term, Term>> equalities = {
+      {x, y}, {z, y}, {w, Term::Constant(4)}, {u_var, w}, {x, z}};
+  std::vector<size_t> perm = {0, 1, 2, 3, 4};
+  std::vector<std::vector<std::vector<Term>>> first_classes;
+  bool first = true;
+  do {
+    Unifier u;
+    for (size_t i : perm) {
+      ASSERT_TRUE(u.Unify(equalities[i].first, equalities[i].second));
+    }
+    std::vector<std::vector<Term>> classes;
+    for (Term t : {x, y, z, w, u_var}) {
+      std::vector<Term> cls = u.ClassOf(t);
+      std::sort(cls.begin(), cls.end());
+      classes.push_back(cls);
+    }
+    EXPECT_EQ(u.Resolve(u_var), Term::Constant(4));
+    EXPECT_TRUE(u.Resolve(x).is_variable());
+    EXPECT_EQ(u.Resolve(x), u.Resolve(y));
+    EXPECT_EQ(u.Resolve(z), u.Resolve(y));
+    if (first) {
+      first_classes = {classes};
+      first = false;
+    } else {
+      EXPECT_EQ(classes, first_classes.front());
+    }
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  std::vector<Term> xyz = {x, z, y};
+  std::sort(xyz.begin(), xyz.end());
+  EXPECT_EQ(first_classes.front()[0], xyz);
 }
 
 TEST(UnifierTest, ClassOfTracksEquivalence) {
